@@ -8,12 +8,11 @@ core/services.py:265-370, with the north rule's validation added):
 1. ``synthesize_dataset`` — Ray tasks write the input table as one
    parquet file per shard (``shard=<k>/part.parquet``), seeded per row
    (shard-independent, resumable: existing shards are skipped).
-2. ``run_validation`` — ONE streaming Dataset job over the pending
-   shards: read (columns pruned at the scan) → stateless scalar checks →
-   actor-pool decode/fidelity stage (drops ``bytes``) → groupby
-   partition_id (a scalar-only shuffle) → per-partition writer task that
-   emits violations + pass/fail matrix rows + a pickled profile partial
-   + the lineage record (atomic, idempotent).
+2. ``run_validation`` — ONE Dataset job over the pending shard PATHS:
+   each task reads one shard file → scalar checks → decode/fidelity
+   (drops ``bytes``) → writer that emits the shard's violations +
+   pass/fail matrix rows + a pickled profile partial + the lineage
+   record (atomic, idempotent). No shuffle: one task is one partition.
 3. ``run_drift`` — merges profile partials of the reference and
    production windows (associative sketch merge, no data reread),
    derives edges, runs ONE more histogram pass per window, scores
@@ -61,10 +60,6 @@ class FlagshipConfig:
     rows: int = 2_000
     rows_per_shard: int = 500
     synth_cfg: synth.SynthConfig = field(default_factory=synth.SynthConfig)
-    # None = elastic task pool (decode state is ~free to build); set a
-    # pool size for the actor-pool shape when per-worker state is heavy
-    decode_concurrency: Any = None
-    decode_batch_size: int = 256
     phash_tol: int = 9
     # False drops the synthetic source-certified ref-truth columns at
     # the shard read, forcing the decode stage's full ground-truth
@@ -97,8 +92,8 @@ def synthesize_dataset(
         # every reader except the decode stage, which uses them instead
         # of the per-row seeded re-render)
         tbl = synth.make_batch(start, count, cfg, with_ref_truth=True)
-        # small row groups so the validation read can fan out into many
-        # tasks (one actor-pool bundle per read task)
+        # 512-row row groups bound the memory of row-group-wise scans
+        # (the validator itself reads each shard file whole)
         ckpt.atomic_write_table(path, tbl, row_group_size=512)
         return path
 
@@ -124,39 +119,34 @@ def add_caption_len(batch: pa.Table) -> pa.Table:
     )
 
 
+_MATRIX_COLS = ["partition_id", "check", "violations", "rows", "passed"]
+
+
+def _shard_of(path: str) -> int:
+    """Partition id from an input path's ``shard=<k>`` component."""
+    return int(path.split("shard=")[1].split("/")[0])
+
+
 def _shard_writer(out_dir: str, feature_cols: tuple[str, ...],
-                  cat_cols: tuple[str, ...],
-                  expected_rows: "tuple[int, int] | None" = None):
-    """Per-partition finalizer: writes the partition's violations +
-    matrix rows + profile partial, then the lineage record. Returns the
-    matrix rows so the driver gets the global pass/fail matrix without
+                  cat_cols: tuple[str, ...], expected_rows: tuple[int, int]):
+    """Per-partition finalizer: writes one shard's violations + matrix
+    rows + profile partial, then the lineage record. Returns the matrix
+    rows so the driver gets the global pass/fail matrix without
     re-reading files.
 
-    Runs either inside ``groupby.map_groups`` (one partition per call —
-    the grouped-shuffle path) or as a plain ``map_batches`` over
-    partition-ALIGNED blocks (shuffle-free); a batch holding several
-    partitions is split internally. ``expected_rows=(total, per_shard)``
-    arms the alignment guard: every partition written must be COMPLETE
-    (exactly its expected row count), so a misaligned block layout fails
-    loudly instead of silently writing partial partition outputs."""
+    ``expected_rows=(total, per_shard)`` is the completeness guard: the
+    shard must hold exactly its expected row count, so an empty shard
+    file or a ``rows_per_shard`` that does not match the input layout
+    raises instead of silently writing (or skipping) partial outputs."""
 
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in batch.groupby("partition_id", sort=False):
-            outs.append(_write_one(g))
-        return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame(
-            columns=["partition_id", "check", "violations", "rows", "passed"])
-
-    def _write_one(g: pd.DataFrame) -> pd.DataFrame:
+    def fn(g: pd.DataFrame, pid: int) -> pd.DataFrame:
         t0 = time.time()
-        pid = int(g["partition_id"].iloc[0])
-        if expected_rows is not None:
-            total, per_shard = expected_rows
-            want = min(per_shard, total - pid * per_shard)
-            assert len(g) == want, (
-                f"partition {pid}: writer received {len(g)} of {want} rows "
-                "— input blocks are not partition-aligned; use the grouped "
-                "writer path (groupby('partition_id').map_groups)")
+        total, per_shard = expected_rows
+        want = min(per_shard, total - pid * per_shard)
+        if want <= 0 or len(g) != want:
+            raise ValueError(
+                f"partition {pid}: shard holds {len(g)} rows, but rows={total} "
+                f"with rows_per_shard={per_shard} expects {max(want, 0)}")
         ok_cols = [c for c in g.columns if c.startswith("ok_")]
 
         # violation rows (vectorized unpivot shared with
@@ -255,15 +245,24 @@ def _fused_shard_validator(out_dir: str, vcfg: "val_mod.ValidationConfig",
             if not use_ref_truth:
                 tbl = tbl.drop_columns(
                     [c for c in REF_TRUTH_COLS if c in tbl.column_names])
-            pid = int(path.split("shard=")[1].split("/")[0])
+            pid = _shard_of(path)
             tbl = tbl.append_column(
                 "partition_id", pa.array(np.full(len(tbl), pid, dtype=np.int64)))
             tbl = add_caption_len(decode(scalar(tbl)))
-            outs.append(writer(tbl.to_pandas()))
+            outs.append(writer(tbl.to_pandas(), pid))
         return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame(
-            columns=["partition_id", "check", "violations", "rows", "passed"])
+            columns=_MATRIX_COLS)
 
     return fn
+
+
+def _read_matrix(out_dir: str) -> pd.DataFrame:
+    """All per-shard pass/fail matrix rows under ``out_dir``, in file
+    order."""
+    files = sorted(glob.glob(os.path.join(out_dir, "matrix", "shard=*.parquet")))
+    if not files:
+        return pd.DataFrame(columns=_MATRIX_COLS)
+    return pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
 
 
 def run_validation(
@@ -271,25 +270,15 @@ def run_validation(
     out_dir: str,
     cfg: FlagshipConfig,
     resume: bool = True,
-    fused: bool = True,
 ) -> pd.DataFrame:
-    """Validate all pending shards; returns the global pass/fail matrix
-    (completed shards' matrix rows are read from their outputs).
-
-    ``fused=True`` (default) runs the whole-shard single-operator path
-    (see ``_fused_shard_validator``); ``fused=False`` keeps the staged
-    Dataset pipeline (read → scalar → decode pool → writer), which is
-    the right shape when the decode stage needs an actor pool with heavy
-    per-worker state or a different batch size than the input blocks."""
+    """Validate all pending shards with the whole-shard task (see
+    ``_fused_shard_validator``); returns the global pass/fail matrix
+    (completed shards' matrix rows are read from their outputs)."""
     shard_files = sorted(glob.glob(os.path.join(input_dir, "shard=*", "part.parquet")))
     done = ckpt.completed_partitions(out_dir) if resume else {}
+    pending = [p for p in shard_files if _shard_of(p) not in done]
 
-    def shard_of(path: str) -> int:
-        return int(path.split("shard=")[1].split("/")[0])
-
-    pending = [p for p in shard_files if shard_of(p) not in done]
-
-    if pending and fused and cfg.decode_concurrency is None:
+    if pending:
         vcfg = val_mod.ValidationConfig(
             synth_cfg=cfg.synth_cfg, phash_tol=cfg.phash_tol
         )
@@ -301,173 +290,12 @@ def run_validation(
                              override_num_blocks=len(pending))
          .map_batches(fn, batch_format="pyarrow", batch_size=None)
          .materialize())
-    elif pending:
-        n_rows = cfg.rows
-        vcfg = val_mod.ValidationConfig(
-            synth_cfg=cfg.synth_cfg, phash_tol=cfg.phash_tol
-        )
-        bloom_ref = val_mod.build_allowlist_bloom(n_rows, cfg.synth_cfg.run)
-        # ONE block per shard file: blocks then stay partition-aligned
-        # through the (block-preserving) map stages, so the per-partition
-        # finalizer below runs as a plain map over whole blocks — NO
-        # repartition + sort-groupby exchange (the r2 design note). At
-        # cluster scale parallelism = #files >> cores; the grouped-write
-        # path remains in run_validation_multi for non-aligned inputs.
-        ds = read_table(pending, include_paths=True,
-                        override_num_blocks=len(pending))
-        if not cfg.use_ref_truth:
-            def _drop_ref(t: pa.Table) -> pa.Table:
-                return t.drop_columns(
-                    [c for c in REF_TRUTH_COLS if c in t.column_names])
 
-            ds = ds.map_batches(_drop_ref, batch_format="pyarrow")
-        ds = val_mod.partition_id_from_path(ds)
-        flags = val_mod.run_row_validation(
-            ds, vcfg, bloom_ref,
-            decode_concurrency=cfg.decode_concurrency,
-            decode_batch_size=cfg.decode_batch_size,
-        )
-        # caption_len derived feature for profiling (vectorized)
-        flags = flags.map_batches(add_caption_len, batch_format="pyarrow")
-        writer = _shard_writer(out_dir, NUMERIC_FEATURES, CATEGORICAL_FEATURES,
-                               expected_rows=(cfg.rows, cfg.rows_per_shard))
-        flags.map_batches(
-            writer, batch_format="pandas", batch_size=None,
-        ).materialize()
-
-    matrix_files = sorted(glob.glob(os.path.join(out_dir, "matrix", "shard=*.parquet")))
-    if not matrix_files:
-        return pd.DataFrame(columns=["partition_id", "check", "violations", "rows", "passed"])
     return (
-        pa.concat_tables([pq.read_table(f) for f in matrix_files])
-        .to_pandas()
+        _read_matrix(out_dir)
         .sort_values(["partition_id", "check"])
         .reset_index(drop=True)
     )
-
-
-def run_validation_multi(
-    jobs: list[tuple[str, str, FlagshipConfig]],
-    decode_concurrency: Any = None,
-    resume: bool = True,
-) -> dict[str, pd.DataFrame]:
-    """Validate several windows in ONE Dataset job sharing a single decode
-    actor pool and a merged id-allowlist Bloom (ids are namespaced by
-    run, so a union allowlist keeps the referential semantics): saves an
-    actor-pool startup + bloom build per extra window and packs the pool
-    across windows. Returns {run: pass/fail matrix}.
-
-    Outputs and lineage are identical to per-window ``run_validation``
-    runs (the shard writer routes each (run, partition) group to its
-    window's out_dir), so multi- and single-window runs are
-    interchangeable and resumable across each other."""
-    from ..sketches import BloomFilter
-
-    per_run: dict[str, tuple[str, str, FlagshipConfig]] = {
-        cfg.synth_cfg.run: (input_dir, out_dir, cfg)
-        for input_dir, out_dir, cfg in jobs
-    }
-    assert len(per_run) == len(jobs), "window runs must be distinct"
-
-    # pending shards per window
-    window_ds = []
-    cfg_by_run: dict[str, val_mod.ValidationConfig] = {}
-    total_rows = sum(cfg.rows for _, _, cfg in jobs)
-
-    @ray.remote
-    def _bloom_part(run: str, start: int, count: int, capacity: int) -> Any:
-        b = BloomFilter(capacity=capacity)
-        b.add([synth.image_id_for(run, i) for i in range(start, start + count)])
-        return b
-
-    bloom_tasks = []
-    for run, (input_dir, out_dir, cfg) in per_run.items():
-        cfg_by_run[run] = val_mod.ValidationConfig(
-            synth_cfg=cfg.synth_cfg, phash_tol=cfg.phash_tol
-        )
-        done = ckpt.completed_partitions(out_dir) if resume else {}
-        shard_files = sorted(glob.glob(os.path.join(input_dir, "shard=*", "part.parquet")))
-        pending = [
-            p for p in shard_files
-            if int(p.split("shard=")[1].split("/")[0]) not in done
-        ]
-        if not pending:
-            continue
-        for s in range(0, cfg.rows, 200_000):
-            bloom_tasks.append(
-                _bloom_part.remote(run, s, min(200_000, cfg.rows - s), total_rows)
-            )
-        ds = read_table(pending, include_paths=True)
-        ds = val_mod.partition_id_from_path(ds)
-
-        def tag(run_name):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.append_column(
-                    "run", pa.array([run_name] * len(batch), pa.string())
-                )
-            return fn
-
-        window_ds.append(ds.map_batches(tag(run), batch_format="pyarrow"))
-
-    if window_ds:
-        blooms = ray.get(bloom_tasks)
-        acc = blooms[0]
-        for b in blooms[1:]:
-            acc.merge(b)
-        bloom_ref = ray.put(acc)
-
-        ds = window_ds[0]
-        for other in window_ds[1:]:
-            ds = ds.union(other)
-
-        any_cfg = next(iter(cfg_by_run.values()))
-        flags = ds.map_batches(
-            val_mod.make_scalar_validator(any_cfg, bloom_ref),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        if decode_concurrency is None:
-            # elastic task pool (decode state is ~free to build; see
-            # validate.run_row_validation)
-            flags = flags.map_batches(
-                val_mod.DecodeValidator(cfg_by_run),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-        else:
-            flags = flags.map_batches(
-                val_mod.DecodeValidator,
-                fn_constructor_args=(cfg_by_run,),
-                batch_format="pyarrow",
-                batch_size=None,
-                concurrency=decode_concurrency,
-            )
-
-        flags = flags.map_batches(add_caption_len, batch_format="pyarrow")
-        flags = flags.repartition(min(256, max(16, total_rows // 2000)))
-
-        out_dir_by_run = {run: od for run, (_, od, _) in per_run.items()}
-
-        def writer(g: pd.DataFrame) -> pd.DataFrame:
-            run = str(g["run"].iloc[0])
-            inner = _shard_writer(out_dir_by_run[run], NUMERIC_FEATURES,
-                                  CATEGORICAL_FEATURES)
-            return inner(g.drop(columns=["run"]))
-
-        flags.groupby(["run", "partition_id"]).map_groups(
-            writer, batch_format="pandas"
-        ).materialize()
-
-    out: dict[str, pd.DataFrame] = {}
-    for run, (_, out_dir, _) in per_run.items():
-        files = sorted(glob.glob(os.path.join(out_dir, "matrix", "shard=*.parquet")))
-        out[run] = (
-            pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
-            .sort_values(["partition_id", "check"]).reset_index(drop=True)
-            if files else
-            pd.DataFrame(columns=["partition_id", "check", "violations", "rows", "passed"])
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +415,7 @@ def run_drift(
     # self-contained HTML report + dashboard counts alongside the outputs
     from ..functions.report import generate_html_report, trend_summaries
 
-    matrix_files = sorted(
-        glob.glob(os.path.join(prod_out_dir, "matrix", "shard=*.parquet"))
-    )
-    matrix_rows = (
-        pa.concat_tables([pq.read_table(f) for f in matrix_files])
-        .to_pandas().to_dict("records") if matrix_files else []
-    )
+    matrix_rows = _read_matrix(prod_out_dir).to_dict("records")
     trends = trend_summaries(part_scores)
     ckpt.atomic_write_bytes(
         os.path.join(prod_out_dir, "report.html"),

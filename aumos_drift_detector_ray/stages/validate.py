@@ -7,17 +7,18 @@ pass/fail + violation rows. Layout:
 
 * :func:`check_schema` — pyarrow.Schema conformance (castability) of the
   incoming Dataset vs the expected input_hint schema.
-* :class:`ScalarValidator` — **stateless-shape but actor-pooled** batch
-  stage for the cheap vector checks (nulls, dim ranges, fmt domain,
-  Bloom referential). The Bloom filter is fetched from the object store
-  once per actor (``ray.put`` broadcast, no shuffle).
-* :class:`DecodeValidator` — actor-pool ``map_batches`` stage that
-  decodes every payload, verifies header/decoded dims against the
-  ``w``/``h`` columns, re-derives the ground-truth pixels/caption from
-  the row's seeded identity and enforces the per-row fidelity invariant
-  (decoded-pixel allclose for lossless fmts, PSNR >= 40 dB for lossy —
-  BASELINE.json input_hint), recomputes the pHash, and then **drops the
-  ``bytes`` column** so every downstream shuffle moves only scalars.
+* :func:`make_scalar_validator` — stateless batch function for the
+  cheap vector checks (nulls, dim ranges, fmt domain, Bloom
+  referential). The Bloom filter is fetched from the object store once
+  per worker (``ray.put`` broadcast, no shuffle).
+* :class:`DecodeValidator` — per-row decode/fidelity batch function
+  (run inside the flagship's fused per-shard task) that decodes every
+  payload, verifies header/decoded dims against the ``w``/``h`` columns,
+  re-derives the ground-truth pixels/caption from the row's seeded
+  identity and enforces the per-row fidelity invariant (decoded-pixel
+  allclose for lossless fmts, PSNR >= 40 dB for lossy — BASELINE.json
+  input_hint), recomputes the pHash, and then **drops the ``bytes``
+  column** so every downstream shuffle moves only scalars.
 * :func:`violations_from_flags` / :func:`passfail_matrix` — reshape the
   wide per-row flag table into violation rows and the per-(partition,
   check) pass/fail matrix (the north-rule output contract).
@@ -74,7 +75,6 @@ class ValidationConfig:
     # p100=8), while a *different* image is >= ~10 bits away — 9 separates
     # the two regimes
     phash_tol: int = 9
-    check_fidelity: bool = True  # decode + pixel/caption/phash invariants
 
 
 def check_schema(ds: ray.data.Dataset, expected: pa.Schema = synth.IMAGE_SCHEMA) -> list[str]:
@@ -117,20 +117,6 @@ def attach_partition_id(ds: ray.data.Dataset, rows_per_shard: int) -> ray.data.D
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def partition_id_from_path(ds: ray.data.Dataset, path_column: str = "path") -> ray.data.Dataset:
-    """Turn a ``shard=<k>`` component of the read path into partition_id
-    (parquet inputs read with include_paths=True)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        # vectorized: first "shard=<k>" path component
-        m = pc.extract_regex(batch[path_column], r"(?:^|/)shard=(?P<k>[0-9]+)")
-        pids = pc.fill_null(pc.struct_field(m, "k").cast(pa.int64()), -1)
-        out = batch.drop_columns([path_column])
-        return out.append_column("partition_id", pids)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 # per-worker-process cache of deserialized broadcast objects, so stateless
 # tasks pay the ray.get deserialization once per worker, not once per batch
 _BROADCAST_CACHE: dict[str, Any] = {}
@@ -144,8 +130,7 @@ def _get_broadcast(ref: Any) -> Any:
 
 
 def make_scalar_validator(cfg: ValidationConfig, bloom_ref: Any | None = None):
-    """Vectorized scalar constraint checks as a STATELESS task function
-    (no actor reservation — the decode pool downstream needs the CPUs).
+    """Vectorized scalar constraint checks as a STATELESS task function.
     Bloom referential membership runs against the broadcast id allowlist
     (``ray.put`` once; negatives exact, positives ~0.8% FP at 10
     bits/element — see sketches.BloomFilter), cached per worker."""
@@ -181,7 +166,7 @@ def make_scalar_validator(cfg: ValidationConfig, bloom_ref: Any | None = None):
 
 
 class DecodeValidator:
-    """Actor-pool decode + fidelity stage.
+    """Decode + fidelity checks for one ``ValidationConfig``.
 
     Per row: decode the payload with the declared codec; compare header
     and decoded dims with the ``w``/``h`` columns; regenerate the row's
@@ -191,30 +176,16 @@ class DecodeValidator:
     Emits derived scalar features (byte_len, decoded dims, psnr) and
     DROPS ``bytes`` — downstream stages shuffle scalars only.
 
-    The per-row Python loop is unavoidable (codec work is per-image);
-    the actor pool amortizes setup and parallelizes across the pool.
+    The per-row Python loop is unavoidable (codec work is per-image).
+    The object holds only its config, so it ships pickled into the
+    flagship's fused per-shard task.
     """
 
-    def __init__(self, cfg: "ValidationConfig | dict[str, ValidationConfig]") -> None:
-        # single config, or one per run namespace (multi-window jobs share
-        # one decode pool; the row's run is recovered from its id prefix)
-        if isinstance(cfg, dict):
-            self.cfgs = dict(cfg)
-        else:
-            self.cfgs = {cfg.synth_cfg.run: cfg}
-        self.default_cfg = next(iter(self.cfgs.values()))
-        self.prefixes = [
-            (f"img-{run}-", run) for run in self.cfgs
-        ] + [(f"ghost-{run}-", run) for run in self.cfgs]
-
-    def _cfg_for(self, image_id: str | None) -> "ValidationConfig":
-        if image_id and len(self.cfgs) > 1:
-            for prefix, run in self.prefixes:
-                if image_id.startswith(prefix):
-                    return self.cfgs[run]
-        return self.default_cfg
+    def __init__(self, cfg: ValidationConfig) -> None:
+        self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        cfg = self.cfg
         n = len(batch)
         ids = batch["image_id"].to_pylist()
         blobs = batch["bytes"].to_pylist()
@@ -249,11 +220,8 @@ class DecodeValidator:
 
         rec_phs = np.zeros(n, dtype=np.int64)
         has_img = np.zeros(n, dtype=bool)
-        tols = np.zeros(n, dtype=np.int64)
         for i in range(n):
             blob, fmt = blobs[i], fmts[i]
-            cfg = self._cfg_for(ids[i])
-            tols[i] = cfg.phash_tol
             byte_len[i] = len(blob) if blob is not None else 0
             img = None
             if blob is not None and fmt in codecs.FORMATS:
@@ -271,7 +239,7 @@ class DecodeValidator:
             row_idx = (
                 synth.parse_row_index(ids[i], cfg.synth_cfg.run) if ids[i] else None
             )
-            if cfg.check_fidelity and row_idx is not None:
+            if row_idx is not None:
                 # the certificate is keyed by ROW; fidelity is keyed by
                 # the CLAIMED id — equal except forged-id rows (V-DUP),
                 # which re-render the claimed id's truth (rare)
@@ -306,13 +274,10 @@ class DecodeValidator:
                                 ok_pix[i] = p >= cfg.psnr_min
                             else:
                                 ok_pix[i] = bool(np.array_equal(truth, img))
-            elif not cfg.check_fidelity:
-                ok_cap[i] = caps[i] is not None
-                ok_pix[i] = img is not None
 
         # vectorized pHash recompute check across the whole batch
         dists = codecs.hamming64(rec_phs, np.asarray(phs, dtype=np.int64))
-        ok_ph[:] = has_img & (dists <= tols)
+        ok_ph[:] = has_img & (dists <= cfg.phash_tol)
 
         drop = ["bytes"] + (["ref_row", "ref_dec_crc", "ref_psnr",
                              "ref_caption"] if has_ref else [])
@@ -329,53 +294,6 @@ class DecodeValidator:
         out = out.append_column("psnr", pa.array(psnr_out, pa.float64()))
         out = out.append_column("mean_pixel", pa.array(mean_px, pa.float64()))
         return out
-
-
-def run_row_validation(
-    ds: ray.data.Dataset,
-    cfg: ValidationConfig,
-    bloom_ref: Any | None = None,
-    decode_concurrency: "int | tuple[int, int] | None" = None,
-    decode_batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Scalar checks (stateless tasks) then decode/fidelity checks.
-
-    ``decode_concurrency=None`` (default) runs the decode stage as an
-    ELASTIC TASK pool: this repo's decode state (codec tables) measures
-    ~0 ms to build, so pinning a fixed actor pool only pays ~1 s of
-    process startup per actor and caps elasticity — measured effective
-    parallelism was ~10 of 28 actors on a 7 s stage. Pass a concurrency
-    to get the actor-pool shape instead, which is the right one when
-    per-worker state is genuinely heavy (model weights, big indexes):
-    setup runs once per actor in ``__init__``, not per task.
-
-    ``batch_size=None`` is deliberate: with a batch_size set, Ray Data
-    BUNDLES many input blocks into one task (until the bundle reaches
-    batch_size rows — and a read task's whole output arrives as one
-    bundle), which collapses a 100-block input to ~5 huge tasks. With
-    None, every block is its own task, so parallelism is governed by the
-    input block count — which the synth writer guarantees via small
-    shard files + 512-row row groups."""
-    ds = ds.map_batches(
-        make_scalar_validator(cfg, bloom_ref),
-        batch_format="pyarrow",
-        batch_size=decode_batch_size,
-    )
-    if decode_concurrency is None:
-        ds = ds.map_batches(
-            DecodeValidator(cfg),
-            batch_format="pyarrow",
-            batch_size=decode_batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            DecodeValidator,
-            fn_constructor_args=(cfg,),
-            batch_format="pyarrow",
-            batch_size=decode_batch_size,
-            concurrency=decode_concurrency,
-        )
-    return ds
 
 
 def unpivot_violations(batch: pa.Table) -> pa.Table:

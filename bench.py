@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
@@ -110,11 +111,6 @@ def run_headline(num_cpus: int, use_ref_truth: bool = True) -> dict:
     work = tempfile.mkdtemp(prefix="aumos_bench_out_")
     ref_out = os.path.join(work, "ref")
     prod_out = os.path.join(work, "prod")
-    # default None = elastic decode task pool (decode state is free to
-    # build; a fixed actor pool paid ~1s startup per actor and capped
-    # effective parallelism). BENCH_DECODE_CONC=N forces the actor-pool
-    # shape with N actors per window for comparison.
-    decode_conc = int(os.environ.get("BENCH_DECODE_CONC", "0")) or None
     try:
         # warm the page cache so we measure compute+shuffle, not first read
         from aumos_drift_detector_ray.sources.reader import read_table
@@ -124,51 +120,29 @@ def run_headline(num_cpus: int, use_ref_truth: bool = True) -> dict:
         t0 = time.time()
         ref_cfg = F.FlagshipConfig(rows=BENCH_ROWS, rows_per_shard=ROWS_PER_SHARD,
                                    synth_cfg=synth.SynthConfig(seed=42, run="ref"),
-                                   decode_concurrency=decode_conc,
                                    use_ref_truth=use_ref_truth)
         prod_cfg = F.FlagshipConfig(rows=BENCH_ROWS, rows_per_shard=ROWS_PER_SHARD,
                                     synth_cfg=synth.SynthConfig(seed=43, run="prod",
                                                                 violation_rate=0.02,
                                                                 drift=True),
-                                    decode_concurrency=decode_conc,
                                     use_ref_truth=use_ref_truth)
-        # A/B measured 2026-08-17: two concurrent per-window jobs beat one
-        # combined multi-window job (16-18s vs 29-30s t_validate at 32
-        # cpus) - the combined job's single wide writer shuffle and
-        # union-fed pool pack worse than two overlapping pipelines
-        mode = os.environ.get("BENCH_VALIDATE_MODE", "concurrent")
-        if mode == "multi":
-            # ONE validation job over both windows: shared decode pool,
-            # merged allowlist bloom, single writer shuffle
-            F.run_validation_multi(
-                [(ref_in, ref_out, ref_cfg), (prod_in, prod_out, prod_cfg)],
-                decode_concurrency=decode_conc,
-                resume=False,
-            )
-            t_validate = time.time() - t0
-            t1 = time.time()
+        # the prod-window shuffle checks depend only on the prod
+        # flags output, so they OVERLAP the still-running ref-window
+        # validation instead of waiting for both windows
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            f1 = pool.submit(F.run_validation, ref_in, ref_out, ref_cfg, False)
+            f2 = pool.submit(F.run_validation, prod_in, prod_out, prod_cfg, False)
+            f2.result()
             F.run_shuffle_checks(prod_out)
-            t_shuffle = time.time() - t1
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # the prod-window shuffle checks depend only on the prod
-            # flags output, so they OVERLAP the still-running ref-window
-            # validation instead of waiting for both windows
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f1 = pool.submit(F.run_validation, ref_in, ref_out, ref_cfg, False)
-                f2 = pool.submit(F.run_validation, prod_in, prod_out, prod_cfg, False)
-                f2.result()
-                F.run_shuffle_checks(prod_out)
-                t_checks_done = time.time() - t0
-                f1.result()
-                t_validations_done = time.time() - t0
-            # honest wall: everything before drift scoring. The segment
-            # split is approximate under overlap (checks run while the
-            # ref window may still be validating).
-            wall_vs = max(t_checks_done, t_validations_done)
-            t_validate = t_validations_done
-            t_shuffle = wall_vs - t_validations_done
+            t_checks_done = time.time() - t0
+            f1.result()
+            t_validations_done = time.time() - t0
+        # honest wall: everything before drift scoring. The segment
+        # split is approximate under overlap (checks run while the
+        # ref window may still be validating).
+        wall_vs = max(t_checks_done, t_validations_done)
+        t_validate = t_validations_done
+        t_shuffle = wall_vs - t_validations_done
 
         t2 = time.time()
         F.run_drift(ref_out, prod_out, run_id="bench")

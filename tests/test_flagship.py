@@ -140,65 +140,41 @@ class TestResume:
         assert {p: done2[p]["completed_at"] for p in done2} == stamps
 
 
-class TestMultiWindowValidation:
-    def test_multi_matches_single_window_outputs(self, ray_session, tmp_path_factory):
-        import pandas as pd
+class TestShardGuard:
+    """A shard whose row count does not match ``rows``/``rows_per_shard``
+    (an empty file, or a config that does not match the input layout)
+    fails the run loudly and writes no lineage for that shard."""
+
+    @pytest.fixture
+    def shards(self, ray_session, tmp_path):
         from aumos_drift_detector_ray.pipelines import flagship as F
 
-        work = str(tmp_path_factory.mktemp("multi"))
-        ref_cfg_s = synth.SynthConfig(seed=11, run="mref")
-        prod_cfg_s = synth.SynthConfig(seed=12, run="mprod", violation_rate=0.1)
-        ref_in = os.path.join(work, "in_ref")
-        prod_in = os.path.join(work, "in_prod")
-        F.synthesize_dataset(ref_in, 300, 100, ref_cfg_s)
-        F.synthesize_dataset(prod_in, 300, 100, prod_cfg_s)
-        ref_cfg = F.FlagshipConfig(rows=300, rows_per_shard=100, synth_cfg=ref_cfg_s)
-        prod_cfg = F.FlagshipConfig(rows=300, rows_per_shard=100, synth_cfg=prod_cfg_s)
+        scfg = synth.SynthConfig(seed=5, run="g")
+        inp = str(tmp_path / "input")
+        F.synthesize_dataset(inp, 300, 100, scfg)
+        return inp, str(tmp_path / "out"), scfg
 
-        # single-window reference outputs
-        m_ref = F.run_validation(ref_in, os.path.join(work, "o1_ref"), ref_cfg)
-        m_prod = F.run_validation(prod_in, os.path.join(work, "o1_prod"), prod_cfg)
-
-        # multi-window combined job
-        multi = F.run_validation_multi([
-            (ref_in, os.path.join(work, "o2_ref"), ref_cfg),
-            (prod_in, os.path.join(work, "o2_prod"), prod_cfg),
-        ], decode_concurrency=2)
-
-        assert multi["mref"].equals(m_ref)
-        assert multi["mprod"].equals(m_prod)
-        # violations files byte-identical per shard
-        for win, single_out in (("o2_ref", "o1_ref"), ("o2_prod", "o1_prod")):
-            for shard in (0, 1, 2):
-                a = open(os.path.join(work, single_out, "violations",
-                                      f"shard={shard}.parquet"), "rb").read()
-                b = open(os.path.join(work, win, "violations",
-                                      f"shard={shard}.parquet"), "rb").read()
-                assert a == b, (win, shard)
-
-    def test_multi_resume_skips_completed(self, ray_session, tmp_path_factory):
+    def test_empty_shard_raises(self, shards):
+        import pyarrow.parquet as pq
         from aumos_drift_detector_ray.pipelines import flagship as F
-        from aumos_drift_detector_ray.state import checkpoint as ckpt
 
-        work = str(tmp_path_factory.mktemp("multir"))
-        s1 = synth.SynthConfig(seed=21, run="ra")
-        s2 = synth.SynthConfig(seed=22, run="rb")
-        in1, in2 = os.path.join(work, "i1"), os.path.join(work, "i2")
-        F.synthesize_dataset(in1, 200, 100, s1)
-        F.synthesize_dataset(in2, 200, 100, s2)
-        c1 = F.FlagshipConfig(rows=200, rows_per_shard=100, synth_cfg=s1)
-        c2 = F.FlagshipConfig(rows=200, rows_per_shard=100, synth_cfg=s2)
-        o1, o2 = os.path.join(work, "out1"), os.path.join(work, "out2")
-        # pre-complete window 1 fully
-        F.run_validation(in1, o1, c1)
-        stamps = {p: r["completed_at"] for p, r in ckpt.completed_partitions(o1).items()}
-        # multi run should skip window 1 entirely and do window 2
-        multi = F.run_validation_multi([(in1, o1, c1), (in2, o2, c2)],
-                                       decode_concurrency=2)
-        assert {p: r["completed_at"] for p, r in
-                ckpt.completed_partitions(o1).items()} == stamps
-        assert len(ckpt.completed_partitions(o2)) == 2
-        assert len(multi["rb"]) > 0
+        inp, out, scfg = shards
+        path = os.path.join(inp, "shard=1", "part.parquet")
+        pq.write_table(pq.read_table(path).slice(0, 0), path)
+        cfg = F.FlagshipConfig(rows=300, rows_per_shard=100, synth_cfg=scfg)
+        with pytest.raises(Exception, match="partition 1: shard holds 0 rows"):
+            F.run_validation(inp, out, cfg, resume=False)
+        assert not os.path.exists(os.path.join(out, "lineage", "shard=1.json"))
+
+    def test_mismatched_rows_per_shard_raises(self, shards):
+        from aumos_drift_detector_ray.pipelines import flagship as F
+
+        inp, out, scfg = shards
+        cfg = F.FlagshipConfig(rows=300, rows_per_shard=150, synth_cfg=scfg)
+        with pytest.raises(Exception, match="rows_per_shard=150"):
+            F.run_validation(inp, out, cfg, resume=False)
+        # every shard holds 100 rows; none is what the config expects
+        assert glob.glob(os.path.join(out, "lineage", "*.json")) == []
 
 
 class TestPerPartitionDrift:

@@ -25,7 +25,10 @@ def flags_ds(ray_session):
     ds = V.attach_partition_id(ds, SHARD)
     vcfg = V.ValidationConfig(synth_cfg=CFG)
     bloom_ref = V.build_allowlist_bloom(ROWS, "v")
-    flags = V.run_row_validation(ds, vcfg, bloom_ref, decode_concurrency=2)
+    flags = (
+        ds.map_batches(V.make_scalar_validator(vcfg, bloom_ref), batch_format="pyarrow")
+        .map_batches(V.DecodeValidator(vcfg), batch_format="pyarrow")
+    )
     return flags.materialize()
 
 
